@@ -149,18 +149,6 @@ class CallGraph:
             return None
         return self._resolve(module, dotted, enclosing, as_call=False)
 
-    def lookup_method(self, class_qualname: str, name: str) -> Optional[str]:
-        """Resolve ``name`` on ``class_qualname`` with base-class lookup.
-
-        Public form of the internal method table, used by the perf
-        hotness layer to resolve calls through inferred attribute types.
-        """
-        return self._lookup_method(class_qualname, name)
-
-    def known_classes(self) -> Dict[str, List[str]]:
-        """class qualname → resolved base-class names, for every batch class."""
-        return {q: list(info.bases) for q, info in self._classes.items()}
-
     # -- construction helpers (used by build_call_graph) --------------
     def _lookup_method(
         self, class_qualname: str, name: str, seen: Optional[Set[str]] = None

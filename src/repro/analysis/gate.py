@@ -6,8 +6,7 @@ code.  ``never`` always exits 0 (report-only mode); the other policies
 are severity thresholds: ``info`` fails on any unsuppressed finding,
 ``warning`` (the default) on warnings and errors, ``error`` only on
 :attr:`~repro.analysis.findings.Severity.ERROR` findings.  Info-level
-findings (the profile-guided perf rules before a profile marks them hot)
-therefore report under the default gate without failing it.
+findings therefore report under the default gate without failing it.
 """
 
 from __future__ import annotations

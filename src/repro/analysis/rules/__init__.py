@@ -1,6 +1,6 @@
 """Rule packs and the default registry.
 
-Six packs, one per failure class the reproduction cannot afford:
+Five packs, one per failure class the reproduction cannot afford:
 
 * :mod:`repro.analysis.rules.determinism` — stray wall clocks, global
   RNG, unordered-set iteration, mutable defaults, lying annotations;
@@ -13,11 +13,6 @@ Six packs, one per failure class the reproduction cannot afford:
   on every CFG path, no blocking calls reachable from async/tap code,
   no undeclared exceptions escaping the re-sync path, no dead branches
   or dispatch arms (built on :mod:`repro.analysis.flow`);
-* :mod:`repro.analysis.rules.perf` — profile-guided performance rules
-  (allocation/copies/lookups on the measured hot path).  **Opt-in**:
-  perf findings are advisory (info severity) until a ``--profile``
-  capture proves them hot, so the pack runs via ``--pack perf`` rather
-  than in the default gate;
 * :mod:`repro.analysis.rules.ownership` — buffer ownership & aliasing
   (BUF-*): in-place mutation of borrowed arrays, views of internal
   state escaping public APIs, caller arrays stored without copy, and
@@ -61,14 +56,6 @@ from repro.analysis.rules.ownership import (
     BufMutateBorrowedRule,
     BufReturnViewRule,
     BufShmUnfencedRule,
-)
-from repro.analysis.rules.perf import (
-    AllocHotRule,
-    AttrLoopRule,
-    LogHotRule,
-    NumpyCopyRule,
-    PicklePayloadRule,
-    ScanRule,
 )
 from repro.analysis.rules.protocol import (
     MessageCategoryRule,
@@ -115,14 +102,6 @@ RULE_PACKS: Dict[str, Tuple[Type[Rule], ...]] = {
         ExceptionEscapeRule,
         DeadPathRule,
     ),
-    "perf": (
-        AllocHotRule,
-        NumpyCopyRule,
-        PicklePayloadRule,
-        AttrLoopRule,
-        LogHotRule,
-        ScanRule,
-    ),
     "ownership": (
         BufMutateBorrowedRule,
         BufReturnViewRule,
@@ -131,12 +110,10 @@ RULE_PACKS: Dict[str, Tuple[Type[Rule], ...]] = {
     ),
 }
 
-#: Packs that only run when explicitly selected.  The perf rules are
-#: advisory heuristics ranked by measured hot-path data; folding them
-#: into the default (self-lint) gate would fail CI on cold-path noise.
-#: The ownership rules reason about array aliasing and run as their own
-#: CI gate (``--pack ownership --fail-on warning``).
-OPT_IN_PACKS: Tuple[str, ...] = ("perf", "ownership")
+#: Packs that only run when explicitly selected.  The ownership rules
+#: reason about array aliasing and run as their own CI gate
+#: (``--pack ownership --fail-on warning``).
+OPT_IN_PACKS: Tuple[str, ...] = ("ownership",)
 
 DEFAULT_RULE_CLASSES: Tuple[Type[Rule], ...] = tuple(
     cls

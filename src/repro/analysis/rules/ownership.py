@@ -29,8 +29,7 @@ computes (see that module for the abstract domain):
     exempt.
 
 All four are project rules: they share one :class:`OwnershipAnalysis`
-per lint batch through a one-slot cache, the same idiom as the perf
-pack's project index.
+per lint batch through a one-slot cache.
 """
 
 from __future__ import annotations

@@ -302,14 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--pack", action="append", default=None, metavar="NAME",
         help="run only this rule pack (repeatable: determinism, protocol, "
-             "concurrency, flow, perf, ownership); unions with --rule",
-    )
-    lint_parser.add_argument(
-        "--profile", metavar="TRACE.json", default=None,
-        help="hot-path data for the perf rules: a repro run --trace "
-             "capture (trace-format-v2 'perf' section) or a bare "
-             "profiler snapshot; findings on measured-hot functions "
-             "escalate from info to warning",
+             "concurrency, flow, ownership); unions with --rule",
     )
     lint_parser.add_argument(
         "--output", metavar="PATH", default=None,
@@ -862,7 +855,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis.perfmodel import ProfileError, load_hot_profile
     from repro.analysis.rules import rules_for
 
     paths = args.paths or [os.path.dirname(os.path.abspath(repro.__file__))]
@@ -871,15 +863,6 @@ def _cmd_lint(args) -> int:
     except ValueError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
-    if args.profile is not None:
-        try:
-            hotness = load_hot_profile(args.profile)
-        except ProfileError as exc:
-            print(f"repro lint: error: {exc}", file=sys.stderr)
-            return 2
-        for rule in rules:
-            if getattr(rule, "uses_profile", False):
-                rule.hotness = hotness
     try:
         findings = run_lint(paths, rules=rules)
     except FileNotFoundError as exc:

@@ -36,7 +36,7 @@ class ParamSet:
                 # vector-space operation already produces float64 arrays, so
                 # the hot construction paths (copy/scaled/subtract per
                 # push/pull) take the no-op branch.
-                value = np.asarray(value, dtype=np.float64)  # repro: allow[PERF-NUMPY-COPY] dtype-guarded: reached only when a convert-copy is genuinely required
+                value = np.asarray(value, dtype=np.float64)
             converted[str(key)] = value
         # Deliberate zero-copy adoption: float64 input arrays are taken by
         # reference (the dtype guard above is a no-op for them), which is

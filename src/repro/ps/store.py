@@ -15,11 +15,38 @@ missed ``V − v`` peer updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.ml.optim import SgdUpdateRule
 from repro.ml.params import ParamSet
 
-__all__ = ["PullSnapshot", "PushRecord", "ParameterStore"]
+__all__ = ["PullSnapshot", "PushRecord", "ParameterStore", "apply_update"]
+
+
+def apply_update(
+    update_rule: SgdUpdateRule,
+    params: ParamSet,
+    gradient: ParamSet,
+    version: int,
+    snapshot_version: int,
+) -> Tuple[int, float]:
+    """Apply one gradient computed on ``snapshot_version`` to ``params``.
+
+    The server-side update every backend runs: ``params`` is the store's
+    state at ``version`` and is mutated in place.  Returns
+    ``(staleness, learning_rate)``.
+    """
+    if snapshot_version > version:
+        raise ValueError(
+            f"snapshot version {snapshot_version} is from the future "
+            f"(store at {version})"
+        )
+    staleness = version - snapshot_version
+    if hasattr(update_rule, "apply_stale"):
+        # Staleness-aware rules (related work [29]) damp the rate of
+        # out-of-date gradients; the store is where staleness is known.
+        return staleness, update_rule.apply_stale(params, gradient, staleness)
+    return staleness, update_rule.apply(params, gradient)
 
 
 @dataclass(frozen=True)
@@ -74,26 +101,16 @@ class ParameterStore:
         self, worker_id: int, gradient: ParamSet, snapshot_version: int, time: float
     ) -> PushRecord:
         """Apply one pushed gradient; returns the push's bookkeeping record."""
-        if snapshot_version > self._version:
-            raise ValueError(
-                f"snapshot version {snapshot_version} is from the future "
-                f"(store at {self._version})"
-            )
-        staleness = self._version - snapshot_version
-        if hasattr(self._update_rule, "apply_stale"):
-            # Staleness-aware rules (related work [29]) damp the rate of
-            # out-of-date gradients; the store is where staleness is known.
-            rate = self._update_rule.apply_stale(
-                self._params, gradient, staleness
-            )
-        else:
-            rate = self._update_rule.apply(self._params, gradient)
+        staleness, rate = apply_update(
+            self._update_rule, self._params, gradient, self._version,
+            snapshot_version,
+        )
         self._version += 1
         record = PushRecord(
             worker_id=worker_id,
             version_after=self._version,
             snapshot_version=snapshot_version,
-            staleness=self._version - 1 - snapshot_version,
+            staleness=staleness,
             learning_rate=rate,
             time=time,
         )

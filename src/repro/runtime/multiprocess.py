@@ -49,6 +49,7 @@ from repro.obs.log import get_logger
 from repro.obs.perf import profiler_for
 from repro.obs.straggler import StragglerDetector
 from repro.ps.shm import ShmParamStore
+from repro.ps.store import apply_update
 from repro.obs.tracks import (
     RT_RUN_TRACK,
     RT_SCHEDULER_TRACK,
@@ -162,9 +163,6 @@ def _server_main(param_store, grad_stores, update_rule, request_queue,
             _, worker_id, snapshot_version = message
             if wire_queue is not None:
                 wire_queue.put(("push", worker_id), timeout=_PUT_TIMEOUT_S)
-            staleness = version - snapshot_version
-            staleness_sum += staleness
-            staleness_count += 1
             # The pushing worker blocks on this ack, so its gradient slot
             # is stable for the duration of the apply: the live backing
             # view (no copy, no pickle) is race-free by protocol.  The
@@ -176,9 +174,14 @@ def _server_main(param_store, grad_stores, update_rule, request_queue,
                     f"version {grad_store.version}, push says "
                     f"{snapshot_version}; single-writer protocol violated"
                 )
+            with param_store.write_fence(version + 1):
+                staleness, _ = apply_update(
+                    update_rule, params, grad_store.backing(), version,
+                    snapshot_version,
+                )
             version += 1
-            with param_store.write_fence(version):
-                update_rule.apply(params, grad_store.backing())
+            staleness_sum += staleness
+            staleness_count += 1
             response_queues[worker_id].put(("ack", version), timeout=_PUT_TIMEOUT_S)
             if writer.enabled:
                 now = writer.now()
@@ -192,10 +195,7 @@ def _server_main(param_store, grad_stores, update_rule, request_queue,
                     writer.gauge("rt.queue.request_depth", depth)
         elif kind == "stats":
             mean = staleness_sum / staleness_count if staleness_count else 0.0
-            # repro: allow[PERF-PICKLE-PAYLOAD] one-shot shutdown stats snapshot pickled by design — a single reply at teardown, not the per-iteration transfer the zero-copy shm store eliminated
-            stats_reply_queue.put(
-                ("stats", version, mean, params.copy()), timeout=_PUT_TIMEOUT_S
-            )
+            stats_reply_queue.put(("stats", version, mean), timeout=_PUT_TIMEOUT_S)
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"unknown server message {kind!r}")
 
@@ -534,13 +534,16 @@ class MultiprocessRun:
                     for worker in workers:
                         worker.join(timeout=10.0)
 
-                    # Final server snapshot, then shut the server down (the
+                    # Final server counters, then shut the server down (the
                     # server keeps serving after worker stop so late pushes
-                    # and this request drain).
+                    # and this request drain).  The reply comes after every
+                    # push is applied, so the shared store holds the final
+                    # parameters.
                     request_queue.put(("stats",))
-                    _, version, mean_staleness, final_params = stats_reply_queue.get(
+                    _, version, mean_staleness = stats_reply_queue.get(
                         timeout=10.0
                     )
+                    final_params, _ = param_store.read()
             finally:
                 # Idempotent on the clean path (joining a finished process
                 # is a no-op).  On an exception path — a worker dying

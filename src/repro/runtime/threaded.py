@@ -2,9 +2,9 @@
 
 Concurrency structure:
 
-* ``ThreadedParameterServer`` — the store under a lock (MXNet's per-key
-  atomic apply collapses to one lock here because every update touches all
-  keys).
+* ``ThreadedParameterServer`` — the DES's :class:`ParameterStore` under a
+  lock (MXNet's per-key atomic apply collapses to one lock here because
+  every update touches all keys).
 * ``ThreadedWorker`` — one thread per worker; "computation" is an
   interruptible wait of the sampled duration (``Event.wait``), after which
   the gradient is evaluated on the pulled snapshot, exactly like the DES.
@@ -41,6 +41,7 @@ from repro.obs.tracks import (
     resync_flow_key,
     rt_worker_track,
 )
+from repro.ps.store import ParameterStore
 from repro.utils.rng import RngStreams
 
 TracerLike = Union[Tracer, NullTracer]
@@ -84,7 +85,7 @@ def uninstall_threading_shim() -> None:
 
 
 class ThreadedParameterServer:
-    """The global parameters behind a lock, with version stamping."""
+    """A :class:`ParameterStore` behind a lock, stamped on wall time."""
 
     def __init__(
         self,
@@ -92,11 +93,8 @@ class ThreadedParameterServer:
         update_rule: SgdUpdateRule,
         tracer: Optional[TracerLike] = None,
     ):
-        self._params = initial_params.copy()
-        self._update_rule = update_rule
+        self._store = ParameterStore(initial_params, update_rule)
         self._lock = threading.Lock()
-        self._version = 0
-        self._staleness_log: List[int] = []
         self.tracer: TracerLike = tracer if tracer is not None else NULL_TRACER
         #: Payload size a pull snapshot / push gradient moves (float64).
         #: The comms instrumentation the socket backend will inherit:
@@ -109,22 +107,22 @@ class ThreadedParameterServer:
         started = time.monotonic() if tracer.enabled else 0.0
         with tracer.measure(RT_SERVER_TRACK, "pull"):
             with self._lock:
-                snapshot, version = self._params.copy(), self._version
+                snapshot = self._store.snapshot(time.monotonic())
         if tracer.enabled:
             tracer.observe("rt.msg.pull.latency_s", time.monotonic() - started)
             tracer.observe("rt.msg.pull.bytes", self.message_bytes)
-        return snapshot, version
+        return snapshot.params, snapshot.version
 
-    def push(self, gradient: ParamSet, snapshot_version: int) -> int:
+    def push(self, worker_id: int, gradient: ParamSet,
+             snapshot_version: int) -> int:
         """Apply one gradient; returns the staleness it experienced."""
         tracer = self.tracer
         started = time.monotonic() if tracer.enabled else 0.0
         with tracer.measure(RT_SERVER_TRACK, "push"):
             with self._lock:
-                staleness = self._version - snapshot_version
-                self._update_rule.apply(self._params, gradient)
-                self._version += 1
-                self._staleness_log.append(staleness)
+                staleness = self._store.apply_push(
+                    worker_id, gradient, snapshot_version, time.monotonic()
+                ).staleness
         if tracer.enabled:
             tracer.count("rt.pushes")
             tracer.observe("rt.staleness", staleness)
@@ -135,14 +133,12 @@ class ThreadedParameterServer:
     @property
     def version(self) -> int:
         with self._lock:
-            return self._version
+            return self._store.version
 
     def mean_staleness(self) -> float:
         """Average staleness over all applied pushes."""
         with self._lock:
-            if not self._staleness_log:
-                return 0.0
-            return sum(self._staleness_log) / len(self._staleness_log)
+            return self._store.mean_staleness()
 
 
 class _ThreadSafeScheduler:
@@ -340,7 +336,7 @@ class ThreadedWorker(threading.Thread):
             _, gradient = self.model.loss_and_grad(snapshot, batch)
             with self.tracer.measure(self.track, "push"), \
                     self.profiler.measure("rt.push"):
-                self.server.push(gradient, version)
+                self.server.push(self.worker_id, gradient, version)
             self.iterations += 1
             if self.scheduler is not None:
                 self.scheduler.handle_notify(self.worker_id, self.iterations)

@@ -5,11 +5,14 @@ zero unsuppressed findings — every waiver must be an explicit
 ``# repro: allow[rule-id]`` comment with a justification next to it.
 """
 
+import io
 import os
 import re
+import tokenize
 
 import repro
 from repro.analysis import LintEngine, render_text, run_lint
+from repro.analysis.rules import ALL_RULE_CLASSES
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -33,7 +36,11 @@ def test_self_lint_exercises_every_rule_pack():
 def test_existing_suppressions_carry_justifications():
     # A waiver without a reason is indistinguishable from a silenced bug:
     # every allow[...] comment must say *why* on the same or previous line.
+    # It must also name a registered rule (or ``*``): a waiver for a
+    # deleted rule silences nothing and only misleads the reader.
     pattern = re.compile(r"#\s*repro:\s*allow\[[^\]]+\]\s*(?P<why>.*)")
+    waiver = re.compile(r"#\s*repro:\s*allow\[(?P<ids>[^\]]+)\]")
+    known_ids = {cls.rule_id for cls in ALL_RULE_CLASSES} | {"*"}
     for dirpath, dirnames, filenames in os.walk(PACKAGE_DIR):
         dirnames[:] = [d for d in dirnames if d != "__pycache__"]
         for filename in filenames:
@@ -51,4 +58,17 @@ def test_existing_suppressions_carry_justifications():
                 has_context = bool(why) or previous.startswith("#")
                 assert has_context, (
                     f"{path}:{lineno} suppression lacks a justification"
+                )
+            # Comment tokens only: docstrings quote the allow[...] syntax.
+            tokens = tokenize.generate_tokens(io.StringIO("".join(lines)).readline)
+            for token in tokens:
+                if token.type != tokenize.COMMENT:
+                    continue
+                match = waiver.search(token.string)
+                if match is None:
+                    continue
+                ids = {part.strip() for part in match.group("ids").split(",")}
+                assert ids <= known_ids, (
+                    f"{path}:{token.start[0]} waives unregistered rule(s) "
+                    f"{sorted(ids - known_ids)}"
                 )

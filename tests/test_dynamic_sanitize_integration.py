@@ -9,6 +9,7 @@ a blind spot.
 
 import pytest
 
+import repro.runtime.threaded as threaded
 from repro.analysis.dynamic import (
     LocksetMonitor,
     build_threaded_run,
@@ -19,9 +20,20 @@ from repro.analysis.dynamic import (
     traced_runtime_locks,
     watch_from_static,
 )
+from repro.analysis.engine import load_module
+from repro.analysis.rules.concurrency import guarded_class_state
 
 SERVER_LOCK = "repro.runtime.threaded.ThreadedParameterServer._lock"
 SCHEDULER_LOCK = "repro.runtime.threaded._ThreadSafeScheduler._lock"
+
+
+def static_guarded_field_count():
+    """Fields the static pass says the server and scheduler locks guard."""
+    guarded = guarded_class_state(load_module(threaded.__file__))
+    return sum(
+        len(guarded[name].guarded)
+        for name in ("ThreadedParameterServer", "_ThreadSafeScheduler")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +73,7 @@ class TestStaticDynamicParity:
         trace, monitor = instrumented_trace
         assert monitor.findings() == []
         # All guarded fields of both watched classes were exercised.
-        assert monitor.fields_tracked() >= 5
+        assert monitor.fields_tracked() == static_guarded_field_count()
         assert len(trace) > 0
 
     def test_diff_against_static_is_two_sided(self, instrumented_trace):
@@ -89,7 +101,7 @@ class TestRunSanitizers:
         )
         assert report.clean, [f.render() for f in report.findings]
         assert report.lock_events > 0
-        assert report.fields_tracked >= 5
+        assert report.fields_tracked == static_guarded_field_count()
         assert SERVER_LOCK in report.locks_seen
 
     def test_replay_check_is_deterministic(self):

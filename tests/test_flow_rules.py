@@ -367,8 +367,7 @@ class TestFlowDead:
 class TestSelection:
     def test_flow_pack_registered(self):
         assert set(RULE_PACKS) == {
-            "determinism", "protocol", "concurrency", "flow", "perf",
-            "ownership",
+            "determinism", "protocol", "concurrency", "flow", "ownership",
         }
         flow_ids = {cls.rule_id for cls in RULE_PACKS["flow"]}
         assert flow_ids == {
@@ -414,6 +413,10 @@ class TestSelection:
     def test_cli_unknown_pack_is_an_error(self, capsys):
         assert main(["lint", "--pack", "nope"]) == 2
         assert "unknown pack" in capsys.readouterr().err
+
+    def test_cli_retired_perf_pack_is_unknown(self, capsys):
+        assert main(["lint", "--pack", "perf"]) == 2
+        assert "unknown pack(s) ['perf']" in capsys.readouterr().err
 
     def test_cli_json_carries_flow_path_and_output_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

@@ -41,7 +41,7 @@ class TestThreadedParameterServer:
             SgdUpdateRule(ConstantSchedule(0.5)),
         )
         snapshot, version = server.pull()
-        server.push(ParamSet({"w": np.array([1.0])}), version)
+        server.push(0, ParamSet({"w": np.array([1.0])}), version)
         np.testing.assert_allclose(snapshot["w"], [1.0])
         assert server.version == 1
 
@@ -51,8 +51,8 @@ class TestThreadedParameterServer:
             SgdUpdateRule(ConstantSchedule(0.1)),
         )
         _, version = server.pull()
-        server.push(ParamSet({"w": np.array([1.0])}), version)
-        staleness = server.push(ParamSet({"w": np.array([1.0])}), version)
+        server.push(0, ParamSet({"w": np.array([1.0])}), version)
+        staleness = server.push(0, ParamSet({"w": np.array([1.0])}), version)
         assert staleness == 1
         assert server.mean_staleness() == pytest.approx(0.5)
 
@@ -68,7 +68,7 @@ class TestThreadedParameterServer:
         def push_many():
             for _ in range(50):
                 _, version = server.pull()
-                server.push(gradient, version)
+                server.push(0, gradient, version)
 
         threads = [threading.Thread(target=push_many) for _ in range(4)]
         for t in threads:

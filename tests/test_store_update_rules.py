@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import AspPolicy, ClusterSpec, SpecSyncPolicy
+from repro.cluster.compute import ComputeTimeModel
+from repro.ml import SoftmaxRegressionModel, SyntheticImageDataset
 from repro.ml.optim import (
     AdaGradUpdateRule,
     ConstantSchedule,
@@ -11,6 +13,7 @@ from repro.ml.optim import (
     StalenessAwareUpdateRule,
     StepDecaySchedule,
 )
+from repro.runtime import MultiprocessRun, ThreadedRun
 from repro.workloads import tiny_workload
 
 RULES = {
@@ -79,3 +82,34 @@ class TestRuleStateIsolation:
         second = workload.run(ClusterSpec.homogeneous(3), AspPolicy(),
                               seed=5, horizon_s=20.0)
         assert first.final_loss == second.final_loss
+
+
+class _StaleOnlyRule(StalenessAwareUpdateRule):
+    """A rule whose plain ``apply`` fails: only ``apply_stale`` works."""
+
+    def apply(self, params, gradient):
+        raise AssertionError("server bypassed apply_stale")
+
+
+class TestStalenessAwareOnEveryBackend:
+    """The wall-clock backends run the store's update, not plain ``apply``."""
+
+    @pytest.mark.parametrize("backend", [ThreadedRun, MultiprocessRun],
+                             ids=["threaded", "multiprocess"])
+    def test_backend_applies_through_apply_stale(self, backend):
+        dataset = SyntheticImageDataset(
+            num_classes=3, feature_dim=8, num_samples=400,
+            class_separation=3.0, warp=False, seed=0,
+        )
+        run = backend(
+            model=SoftmaxRegressionModel(input_dim=8, num_classes=3),
+            partitions=dataset.partition(2, np.random.default_rng(0)),
+            eval_batch=dataset.eval_batch(),
+            update_rule=_StaleOnlyRule(ConstantSchedule(0.2)),
+            compute_model=ComputeTimeModel(mean_time_s=3.0, jitter_sigma=0.1),
+            batch_size=32,
+            time_scale=0.002,
+        )
+        result = run.run(0.4)
+        assert result.total_iterations > 0
+        assert np.isfinite(result.final_loss)
