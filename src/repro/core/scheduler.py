@@ -102,7 +102,9 @@ class SpecSyncScheduler:
         # Current-epoch state.
         self._epoch_started_at = 0.0
         self._epoch_pushes: List[Tuple[float, int]] = []
-        self._epoch_seen: set = set()
+        #: worker_id -> its latest push this epoch; the keys are the
+        #: workers seen this epoch.
+        self._epoch_last_push: Dict[int, float] = {}
 
         # Stats for reports.
         self.epochs_completed = 0
@@ -155,7 +157,9 @@ class SpecSyncScheduler:
             self._span_samples[worker_id].append(time - previous)
         self._last_push[worker_id] = time
         self._epoch_pushes.append((time, worker_id))
-        self._epoch_seen.add(worker_id)
+        latest = self._epoch_last_push.get(worker_id)
+        if latest is None or time > latest:
+            self._epoch_last_push[worker_id] = time
         if self.straggler is not None and self.abort_storm is not None:
             interval = self.straggler.record_push(worker_id, time)
             self.abort_storm.record_push(time)
@@ -167,15 +171,12 @@ class SpecSyncScheduler:
                 )
 
     def _advance_epoch(self, now: float, worker_id: int) -> None:
-        if len(self._epoch_seen) < self.num_workers:
+        if len(self._epoch_last_push) < self.num_workers:
             return
         trace = EpochTrace(
             num_workers=self.num_workers,
-            pushes=list(self._epoch_pushes),
-            last_push_by_worker={
-                w: max(t for t, wid in self._epoch_pushes if wid == w)
-                for w in self._epoch_seen
-            },
+            pushes=self._epoch_pushes,
+            last_push_by_worker=self._epoch_last_push,
             iteration_spans={
                 w: sum(samples) / len(samples)
                 for w, samples in self._span_samples.items()
@@ -196,7 +197,7 @@ class SpecSyncScheduler:
         self.hyperparam_log.append((now, self.hyperparams))
         self._epoch_started_at = now
         self._epoch_pushes = []
-        self._epoch_seen = set()
+        self._epoch_last_push = {}
 
     def _check_resync(
         self,

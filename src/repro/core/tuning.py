@@ -16,9 +16,11 @@ F̃(Δ) = Σ_i (ũ_i(Δ) − l̃_i(Δ))  (Eq. 7).
 Because ũ_i is a step function increasing only when Δ crosses a push-gap,
 the optimum lies where a window right-aligns with a push; the candidate set
 is therefore the pairwise time differences between pushes in the epoch
-(O(m²) values), and the scan is exact.  ABORT_RATE is then set to
-Δ*·(m−1)/(T̄·m) so a re-sync only fires when the realized gain exceeds the
-estimated loss (Algorithm 1, line 7).
+(O(m²) values), and the scan is exact.  It is one NumPy pass: F̃ is built
+for all candidates at once, worker by worker, and ``argmax`` keeps the
+first maximum, so a tie goes to the shortest window.  ABORT_RATE is then
+set to Δ*·(m−1)/(T̄·m) so a re-sync only fires when the realized gain
+exceeds the estimated loss (Algorithm 1, line 7).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import abc
 import bisect
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "EpochTrace",
     "estimate_freshness_gain",
     "estimate_freshness_loss",
+    "freshness_curve",
     "freshness_improvement",
     "candidate_windows",
     "tune_hyperparams",
@@ -85,9 +88,8 @@ def estimate_freshness_gain(
     """ũ_i(Δ): pushes by peers in (p_i, p_i + Δ], where p_i is worker i's
     last push of the previous epoch (its next pull followed immediately).
 
-    ``push_times`` accepts a precomputed ``trace.push_times()`` so
-    Algorithm 1's candidate scan does not rebuild the list for every
-    (worker, window) pair.
+    ``push_times`` accepts a precomputed ``trace.push_times()`` so a caller
+    querying many workers does not rebuild the list for each.
     """
     if window_s < 0:
         raise ValueError(f"window_s must be >= 0, got {window_s}")
@@ -112,35 +114,57 @@ def estimate_freshness_loss(
     return window_s * (num_workers - 1) / iteration_span_s
 
 
-def freshness_improvement(
-    trace: EpochTrace,
-    window_s: float,
-    push_times: Optional[Sequence[float]] = None,
-    fallback_span: Optional[float] = None,
-) -> float:
-    """F̃(Δ) = Σ_i (ũ_i(Δ) − l̃_i(Δ))  (Eq. 7).
+def freshness_curve(
+    trace: EpochTrace, windows: Union[Sequence[float], np.ndarray]
+) -> np.ndarray:
+    """F̃(Δ) = Σ_i (ũ_i(Δ) − l̃_i(Δ)) for every Δ in ``windows`` (Eq. 7).
 
-    ``push_times`` / ``fallback_span`` accept precomputed
-    ``trace.push_times()`` / ``trace.mean_span()`` so the per-candidate
-    scan in :func:`tune_hyperparams` shares them across windows.
+    ũ_i for all windows at once is two ``searchsorted`` calls on the
+    push times of worker i's peers (a time-ordered subsequence).  The sum
+    runs worker by worker in id order, so every entry is the same float a
+    scalar ``total +=`` loop over the workers gives.  A worker without a
+    span estimate uses the mean span; with neither it adds nothing.
     """
-    if push_times is None:
-        push_times = trace.push_times()
-    if fallback_span is None:
-        fallback_span = trace.mean_span()
-    total = 0.0
-    num_workers = trace.num_workers
-    spans = trace.iteration_spans
-    for worker_id in range(num_workers):
-        gain = estimate_freshness_gain(trace, worker_id, window_s, push_times)
-        span = spans.get(worker_id, fallback_span)
+    deltas = np.asarray(windows, dtype=float)
+    if np.any(deltas < 0):
+        raise ValueError(f"windows must be >= 0, got {deltas.min()}")
+    times = np.array(trace.push_times(), dtype=float)
+    owners = np.array([w for _, w in trace.pushes], dtype=int)
+    fallback_span = trace.mean_span()
+    m = trace.num_workers
+    total = np.zeros(deltas.shape)
+    for worker_id in range(m):
+        span = trace.iteration_spans.get(worker_id, fallback_span)
         if span is None or span <= 0:
             continue
-        # Eq. 6 inline (estimate_freshness_loss), minus the per-call checks
-        # already guaranteed here: window_s >= 0 was validated above and
-        # span > 0 by the guard.
-        total += gain - window_s * (num_workers - 1) / span
+        gain: Union[int, np.ndarray] = 0
+        reference = trace.last_push_by_worker.get(worker_id)
+        if reference is not None:
+            peers = times[owners != worker_id]
+            gain = (np.searchsorted(peers, reference + deltas, "right")
+                    - np.searchsorted(peers, reference, "right"))
+        # Eq. 6 (estimate_freshness_loss) as a vector.
+        total += gain - deltas * (m - 1) / span
     return total
+
+
+def freshness_improvement(trace: EpochTrace, window_s: float) -> float:
+    """F̃(Δ) at one window: :func:`freshness_curve` at a single point."""
+    return float(freshness_curve(trace, [window_s])[0])
+
+
+def _round9(values: np.ndarray) -> np.ndarray:
+    """Python's ``round(x, 9)`` of every entry, to the bit: ``rint(x·1e9)
+    / 1e9`` differs from it only where the product's rounding error may
+    cross a half-integer (or the product cannot hold the integer exactly),
+    and those few entries take Python's path."""
+    scaled = values * 1e9
+    rounded = np.rint(scaled) / 1e9
+    magnitude = np.abs(scaled)
+    halfway = np.abs(scaled - np.floor(scaled) - 0.5)
+    for k in np.flatnonzero((halfway <= magnitude * 2.0**-52) | (magnitude >= 2.0**52)):
+        rounded[k] = round(float(values[k]), 9)
+    return rounded
 
 
 def candidate_windows(
@@ -149,22 +173,20 @@ def candidate_windows(
     """The Δ candidates: positive pairwise push-time differences.
 
     The optimum of Eq. 7 right-aligns the window with a push, so scanning
-    these values is exact.  When the epoch contains many pushes the O(n²)
-    set is subsampled evenly (after sorting) to bound tuning cost — a pure
-    implementation guard; at the paper's scale (n ≈ m per epoch) the set is
-    complete.
+    these values (rounded to the nanosecond) is exact.  When the epoch
+    contains many pushes the O(n²) set is subsampled evenly (after sorting)
+    to bound tuning cost — a pure implementation guard; at the paper's scale
+    (n ≈ m per epoch) the set is complete.
     """
-    times = sorted(push_times)
-    raw = {
-        round(times[j] - times[i], 9)
-        for i in range(len(times))
-        for j in range(i + 1, len(times))
-    }
-    diffs = sorted(d for d in raw if d > 0)
-    if len(diffs) > max_candidates:
-        idx = np.linspace(0, len(diffs) - 1, max_candidates).astype(int, copy=False)
-        diffs = [diffs[i] for i in idx]
-    return diffs
+    times = np.sort(np.asarray(push_times, dtype=float))
+    earlier, later = np.triu_indices(times.size, k=1)
+    diffs = _round9(np.sort(times[later] - times[earlier]))  # rounding keeps the order
+    diffs = diffs[diffs > 0]
+    # Drop repeats without np.unique, whose first call imports numpy.ma (~1.6 MB).
+    diffs = np.concatenate((diffs[:1], diffs[1:][diffs[1:] != diffs[:-1]]))
+    if diffs.size > max_candidates:
+        diffs = diffs[np.linspace(0, diffs.size - 1, max_candidates).astype(int)]
+    return [float(d) for d in diffs]
 
 
 def tune_hyperparams(
@@ -179,23 +201,15 @@ def tune_hyperparams(
     mean_span = trace.mean_span()
     if mean_span is None or mean_span <= 0:
         return None
-    push_times = trace.push_times()
-    candidates = candidate_windows(push_times, max_candidates)
+    windows = np.asarray(candidate_windows(trace.push_times(), max_candidates))
     # A window at least as long as an iteration is pure delay; restrict the
     # search to windows shorter than the mean span (the paper's search uses
     # half the batch time as an upper bound for the same reason).
-    candidates = [c for c in candidates if 0 < c < mean_span]
-    if not candidates:
+    windows = windows[windows < mean_span]
+    if not windows.size:
         return None
-
-    best_window = None
-    best_improvement = -np.inf
-    for window in candidates:
-        improvement = freshness_improvement(trace, window, push_times, mean_span)
-        if improvement > best_improvement:
-            best_improvement = improvement
-            best_window = window
-
+    # argmax takes the first maximum: a tie goes to the shortest window.
+    best_window = float(windows[np.argmax(freshness_curve(trace, windows))])
     m = trace.num_workers
     abort_rate = best_window * (m - 1) / (mean_span * m)
     return SpecSyncHyperparams(abort_time_s=best_window, abort_rate=abort_rate)

@@ -26,7 +26,33 @@ class ExperimentSection:
     paper_claim: str
     result_file: str
     deviation: str = ""
+    #: hand-written Markdown rendered after the measured table
+    extension: str = ""
 
+
+_FIG13_ANALYTICS = """\
+**Per-scheme trace analytics (extension):** every Fig. 13 run is now
+also traced and fed through `repro.obs.analysis` (see "Trace analytics"
+in `docs/observability.md`), attributing the makespan worker's time to
+compute / network / sync-wait / abort-wasted-work per scheme.  At smoke
+scale (mf, 10 workers, seed 3):
+
+```
+mf: per-scheme critical-path analytics
+======================================
+Scheme   | Compute s | Network s | Sync-wait s | Wasted s | Aborts | Gain/abort
+---------+-----------+-----------+-------------+----------+--------+-----------
+original | 2096      | 4.345     | 0.0395      | 0        | 0      | -
+ssp      | 2011      | 4.092     | 85.06       | 0        | 0      | -
+adaptive | 1856      | 4.974     | 0.0285      | 2398     | 3768   | 3.8
+```
+
+The shape matches the paper's story: SSP converts straggler skew into
+sync-wait (the bound parks fast workers), ASP waits for nothing and
+computes on stale parameters, and SpecSync-Adaptive spends a visible
+abort-wasted-work budget to buy ~3.8 versions of freshness per abort
+while keeping sync-wait at ASP levels.
+"""
 
 SECTIONS: List[ExperimentSection] = [
     ExperimentSection(
@@ -144,6 +170,7 @@ SECTIONS: List[ExperimentSection] = [
             "(notify/re-sync) is negligible."
         ),
         result_file="fig13_breakdown.txt",
+        extension=_FIG13_ANALYTICS,
     ),
     ExperimentSection(
         exp_id="Table II",
@@ -246,7 +273,17 @@ calibrated simulator, not EC2 wall-clock — per the reproduction brief, the
 fall.  Substitutions and their rationale live in DESIGN.md.
 
 This file is assembled from `benchmarks/results/` by
-`python -m repro.experiments.report`.
+`python -m repro.experiments.report`.  (Each archived result now carries
+a `<name>.meta.json` sidecar recording wall time and `REPRO_SCALE`.)
+
+Performance — as opposed to fidelity — is tracked separately by the
+continuous-benchmark pipeline: `repro bench` emits transient
+`BENCH_<name>.json` files at the repo root (gitignored; schema-versioned
+throughput/latency metrics per layer), which CI regression-gates against
+the committed baseline in `benchmarks/baselines/` via
+`repro bench --compare`.  Those files measure the *simulator's* speed,
+not the paper's claims, and are intentionally kept out of
+`benchmarks/results/`.
 """
 
 
@@ -271,6 +308,8 @@ def write_experiments_md(
                 "**Measured:** _not yet generated — run "
                 "`pytest benchmarks/ --benchmark-only`_\n"
             )
+        if section.extension:
+            blocks.append(section.extension)
         if section.deviation:
             blocks.append(f"**Deviation:** {section.deviation}\n")
     text = "\n".join(blocks)

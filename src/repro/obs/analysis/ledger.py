@@ -28,7 +28,7 @@ from repro.core.tuning import (
     EpochTrace,
     candidate_windows,
     estimate_freshness_gain,
-    freshness_improvement,
+    freshness_curve,
 )
 from repro.obs.analysis.graph import RunSegment, WORKER_TRACK_RE
 
@@ -90,28 +90,19 @@ def _reconstruct_epoch_trace(run: RunSegment) -> Optional[EpochTrace]:
     pushes = _push_history(run)
     if len(pushes) < 2:
         return None
-    workers = {w for _t, w in pushes}
     last_push: Dict[int, float] = {}
     gaps: Dict[int, List[float]] = {}
-    previous: Dict[int, float] = {}
     for ts, worker in pushes:
-        last = previous.get(worker)
+        last = last_push.get(worker)
         if last is not None and ts > last:
             gaps.setdefault(worker, []).append(ts - last)
-        previous[worker] = ts
         last_push[worker] = ts
-    spans = {
-        worker: sum(values) / len(values) for worker, values in gaps.items()
-    }
+    spans = {worker: sum(values) / len(values) for worker, values in gaps.items()}
     num_workers = run.meta.get("workers")
     if not isinstance(num_workers, int) or num_workers < 1:
-        num_workers = max(workers) + 1
-    return EpochTrace(
-        num_workers=num_workers,
-        pushes=pushes,
-        last_push_by_worker=last_push,
-        iteration_spans=spans,
-    )
+        num_workers = max(worker for _ts, worker in pushes) + 1
+    return EpochTrace(num_workers=num_workers, pushes=pushes,
+                      last_push_by_worker=last_push, iteration_spans=spans)
 
 
 def _observed_window(run: RunSegment) -> Optional[float]:
@@ -205,21 +196,14 @@ def speculation_ledger(run: RunSegment) -> Dict[str, object]:
     window = _observed_window(run)
     if trace is not None:
         push_times = trace.push_times()
-        if len(push_times) > _MAX_CANDIDATE_PUSHES:
-            step = len(push_times) / _MAX_CANDIDATE_PUSHES
-            sample = [
-                push_times[int(i * step)]
-                for i in range(_MAX_CANDIDATE_PUSHES)
-            ]
-        else:
-            sample = push_times
+        step = max(1.0, len(push_times) / _MAX_CANDIDATE_PUSHES)
+        sample = [push_times[int(i * step)]
+                  for i in range(min(len(push_times), _MAX_CANDIDATE_PUSHES))]
         candidates = candidate_windows(sample, _MAX_CURVE_POINTS)
+        curve = freshness_curve(trace, candidates).tolist()
         ledger["freshness_curve"] = [
-            {
-                "window_s": delta,
-                "improvement": freshness_improvement(trace, delta, push_times),
-            }
-            for delta in candidates
+            {"window_s": delta, "improvement": improvement}
+            for delta, improvement in zip(candidates, curve)
         ]
         if window is not None:
             ledger["observed_window_s"] = window
